@@ -381,16 +381,48 @@ let cost () =
 (* ------------------------------------------------------------------ *)
 
 let ablation () =
-  header "ablation: micro-kernel shape search (§3.1 analytic model vs tuning)";
+  header "ablation: micro-kernel shape (§3.1 analytic model vs measured tiles)";
+  (* every double-buffered, fused tile of the tuner's space, measured
+     without pruning: the analytic default against the best tile *)
   let spec = Spec.make ~m:4096 ~n:4096 ~k:4096 () in
-  let results = Tuner.search ~config spec in
-  print_string (Tuner.report results);
-  let (bm, bn, bk), bg = Tuner.best results in
+  let default = Sw_tune.Space.default config in
+  let measured =
+    List.filter_map
+      (fun (c : Sw_tune.Space.candidate) ->
+        let m, n, k = c.Sw_tune.Space.mk in
+        match Sw_tune.Search.measure ~config ~spec c with
+        | Ok g ->
+            Printf.printf "  %3dx%3dx%3d  %9.2f Gflops%s\n" m n k g
+              (if c = default then "  (analytic default)" else "");
+            Some (c.Sw_tune.Space.mk, g)
+        | Error e ->
+            Printf.printf "  %3dx%3dx%3d   rejected: %s\n" m n k e;
+            None)
+      (List.filter
+         (fun (c : Sw_tune.Space.candidate) ->
+           c.Sw_tune.Space.buffers = 2 && c.Sw_tune.Space.fuse)
+         (Sw_tune.Space.enumerate ~config ~spec))
+  in
+  let (bm, bn, bk), bg =
+    List.fold_left
+      (fun (bmk, bg) (mk, g) -> if g > bg then (mk, g) else (bmk, bg))
+      (List.hd measured) measured
+  in
+  let dm, dn, dk = default.Sw_tune.Space.mk in
+  let dg = List.assoc default.Sw_tune.Space.mk measured in
+  let wider =
+    List.filter
+      (fun ((m, n, _), g) -> g > dg && (m > dm || n > dn))
+      measured
+  in
   Printf.printf
-    "  best: %dx%dx%d at %.2f Gflops -- the analytic choice (the vendor \
-     kernel's shape configuration), confirming that no tuning loop is \
-     needed for GEMM\n"
-    bm bn bk bg;
+    "  best: %dx%dx%d at %.2f Gflops; the analytic default %dx%dx%d \
+     reaches %.2f, %.1f%% below it. %d tile(s) wider than the vendor \
+     kernel fit the SPM and beat it: the model picks a near-best tile, \
+     not the best\n"
+    bm bn bk bg dm dn dk dg
+    (100.0 *. (1.0 -. (dg /. bg)))
+    (List.length wider);
 
   header "ablation: batch dimension placement (§3, §8.3)";
   let batch = 8 and m = 2048 and n = 2048 and k = 5120 in

@@ -43,58 +43,6 @@ let tune_db_arg =
   in
   Arg.(value & opt (some string) None & info [ "tune-db" ] ~docv:"DIR" ~doc)
 
-(* The [tune] wire method: params.spec like compile, optional
-   params.budget / params.jobs; answers the search summary. Mounted only
-   when --tune-db names a database to record winners in. *)
-let tune_extension ~db ~(session : Sw_core.Session.t) params =
-  let module Json = Sw_obs.Json in
-  match Json.member "spec" params with
-  | None -> Error (Sw_arch.Error.Invalid "tune: params lack \"spec\"")
-  | Some spec_json -> (
-      match Sw_core.Spec.of_json spec_json with
-      | Error e -> Error (Sw_arch.Error.Invalid ("tune: " ^ e))
-      | Ok spec -> (
-          let budget =
-            Option.bind (Json.member "budget" params) Json.to_int_opt
-          in
-          let jobs =
-            Option.value
-              (Option.bind (Json.member "jobs" params) Json.to_int_opt)
-              ~default:session.Sw_core.Session.jobs
-          in
-          match
-            Sw_tune.Search.run ?budget ~jobs ~db
-              ~config:session.Sw_core.Session.config spec
-          with
-          | Error e -> Error (Sw_arch.Error.Invalid ("tune: " ^ e))
-          | Ok o ->
-              let m, n, k = o.Sw_tune.Search.winner.Sw_tune.Space.mk in
-              Ok
-                (Json.Obj
-                   [
-                     ( "winner",
-                       Json.Obj
-                         [
-                           ("mk_m", Json.Int m);
-                           ("mk_n", Json.Int n);
-                           ("mk_k", Json.Int k);
-                           ( "strip",
-                             Json.Int o.Sw_tune.Search.winner.Sw_tune.Space.strip
-                           );
-                           ( "buffers",
-                             Json.Int
-                               o.Sw_tune.Search.winner.Sw_tune.Space.buffers );
-                           ( "fuse",
-                             Json.Bool o.Sw_tune.Search.winner.Sw_tune.Space.fuse
-                           );
-                         ] );
-                     ("gflops", Json.Float o.Sw_tune.Search.gflops);
-                     ( "default_gflops",
-                       Json.Float o.Sw_tune.Search.default_gflops );
-                     ("measurements", Json.Int o.Sw_tune.Search.measurements);
-                     ("from_db", Json.Bool o.Sw_tune.Search.from_db);
-                   ])))
-
 let run common socket tcp host rate burst tune_db_dir =
   match (socket, tcp) with
   | None, None ->
@@ -146,7 +94,7 @@ let run common socket tcp host rate burst tune_db_dir =
           let extensions =
             match tune_db with
             | None -> []
-            | Some db -> [ ("tune", tune_extension ~db ~session) ]
+            | Some db -> [ ("tune", Sw_tune.Search.service_extension ~db ~session) ]
           in
           let service = Sw_core.Service.create ~extensions ~session () in
           let server =

@@ -724,7 +724,7 @@ let tune_cmd =
                   "  tuning DB hit: recorded winner, zero measurements";
               Printf.printf "  winner:  %-36s %10.2f Gflops\n"
                 (Space.key o.Search.winner) o.Search.gflops;
-              let default_c = Space.default config spec in
+              let default_c = Space.default config in
               if o.Search.default_gflops > 0.0 then
                 Printf.printf "  default: %-36s %10.2f Gflops  (tuned %.2fx)\n"
                   (Space.key default_c) o.Search.default_gflops
@@ -783,8 +783,8 @@ let tune_cmd =
   Cmd.v
     (Cmd.info "tune"
        ~doc:
-         "Search the decomposition space (LDM tiles, strip-mine factors, \
-          buffering, fusion placement) with analytic pruning and measured \
+         "Search the decomposition space (LDM tiles, buffering, fusion \
+          placement) with analytic pruning and measured \
           refinement; winners persist in the tuning DB ($(b,--tune-db))")
     term
 

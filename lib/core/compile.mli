@@ -40,7 +40,7 @@ type session = {
           cold compilation; cold plans are written back. Store I/O
           failures degrade the request to memory-only. *)
   supervisor : Sw_host.Supervise.t option;
-      (** service envelope for {!run_result}: admission control, the
+      (** service envelope for {!run}: admission control, the
           per-shape-class circuit breaker, bounded retry and the deadline
           clock *)
   deadline_s : float option;

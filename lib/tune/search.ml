@@ -163,7 +163,7 @@ let run ?(budget = default_budget) ?jobs ?db ~config spec =
         }
   | None ->
       let jobs = Option.value jobs ~default:1 in
-      let default_c = Space.default config spec in
+      let default_c = Space.default config in
       let legal, feasible =
         List.partition_map
           (fun c ->
@@ -293,3 +293,38 @@ let session_hook ~db ~config =
             in
             Hashtbl.add memo k v;
             v)
+
+(* ------------------------------------------------------------------ *)
+(* The [tune] wire method                                               *)
+(* ------------------------------------------------------------------ *)
+
+let service_extension ~db ~(session : Session.t) params =
+  let module Json = Sw_obs.Json in
+  let invalid e = Error (Sw_arch.Error.Invalid ("tune: " ^ e)) in
+  match Json.member "spec" params with
+  | None -> invalid "params lack \"spec\""
+  | Some spec_json -> (
+      match Spec.of_json spec_json with
+      | Error e -> invalid e
+      | Ok spec -> (
+          let int_param name =
+            Option.bind (Json.member name params) Json.to_int_opt
+          in
+          let jobs =
+            Option.value (int_param "jobs") ~default:session.Session.jobs
+          in
+          match
+            run ?budget:(int_param "budget") ~jobs ~db
+              ~config:session.Session.config spec
+          with
+          | Error e -> invalid e
+          | Ok o ->
+              Ok
+                (Json.Obj
+                   [
+                     ("winner", Space.candidate_to_json o.winner);
+                     ("gflops", Json.Float o.gflops);
+                     ("default_gflops", Json.Float o.default_gflops);
+                     ("measurements", Json.Int o.measurements);
+                     ("from_db", Json.Bool o.from_db);
+                   ])))

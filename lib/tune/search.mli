@@ -70,3 +70,13 @@ val session_hook :
     option set recorded for its class, or [None] when the DB has no
     (realizable) winner. Memoized per class; safe to share across
     domains. *)
+
+val service_extension :
+  db:Tune_db.t -> session:Sw_core.Session.t -> Sw_core.Service.extension
+(** The [tune] wire method [swgemmd --tune-db] mounts: [params.spec] as
+    for [compile], optional [params.budget] and [params.jobs] (default:
+    the session's [jobs]). Runs {!run} on the session's machine model
+    against [db] and answers [{winner, gflops, default_gflops,
+    measurements, from_db}], [winner] in {!Space.candidate_to_json}'s
+    image. A missing or malformed spec, and a search that measures
+    nothing, answer the [invalid] class. *)

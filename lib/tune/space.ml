@@ -1,25 +1,48 @@
 open Sw_core
 module Config = Sw_arch.Config
+module Json = Sw_obs.Json
 
-type candidate = {
-  mk : int * int * int;
-  strip : int;
-  buffers : int;
-  fuse : bool;
-}
+type candidate = { mk : int * int * int; buffers : int; fuse : bool }
 
 let key c =
   let m, n, k = c.mk in
-  Printf.sprintf "mk%04dx%04dx%04d/strip%02d/buf%d/%s" m n k c.strip c.buffers
+  Printf.sprintf "mk%04dx%04dx%04d/buf%d/%s" m n k c.buffers
     (if c.fuse then "fused" else "split")
 
-let default (config : Config.t) (_spec : Spec.t) =
+let default (config : Config.t) =
   {
     mk = (config.Config.mk_m, config.Config.mk_n, config.Config.mk_k);
-    strip = min config.Config.mesh_rows config.Config.mesh_cols;
     buffers = 2;
     fuse = true;
   }
+
+let candidate_to_json c =
+  let m, n, k = c.mk in
+  Json.Obj
+    [
+      ("mk_m", Json.Int m);
+      ("mk_n", Json.Int n);
+      ("mk_k", Json.Int k);
+      ("buffers", Json.Int c.buffers);
+      ("fuse", Json.Bool c.fuse);
+    ]
+
+let candidate_of_json j =
+  let field name conv =
+    match Option.bind (Json.member name j) conv with
+    | Some v -> Ok v
+    | None ->
+        Error (Printf.sprintf "candidate: missing or ill-typed field %S" name)
+  in
+  let ( let* ) = Result.bind in
+  let* m = field "mk_m" Json.to_int_opt in
+  let* n = field "mk_n" Json.to_int_opt in
+  let* k = field "mk_k" Json.to_int_opt in
+  let* buffers = field "buffers" Json.to_int_opt in
+  let* fuse = field "fuse" Json.to_bool_opt in
+  if m <= 0 || n <= 0 || k <= 0 || buffers <= 0 then
+    Error "candidate: non-positive dimension"
+  else Ok { mk = (m, n, k); buffers; fuse }
 
 (* The classic tuning ladder every ATLAS-style search walks, plus the
    halved/doubled neighborhood of the machine's own shape so the space
@@ -48,8 +71,6 @@ let mk_shapes (config : Config.t) =
        (neighborhood @ ladder))
 
 let enumerate ~(config : Config.t) ~(spec : Spec.t) =
-  let pc = min config.Config.mesh_rows config.Config.mesh_cols in
-  let strips = List.sort_uniq compare [ 1; pc; 2 * pc ] in
   let fuses =
     match spec.Spec.fusion with
     | Spec.No_fusion -> [ true ]
@@ -59,12 +80,8 @@ let enumerate ~(config : Config.t) ~(spec : Spec.t) =
     List.concat_map
       (fun mk ->
         List.concat_map
-          (fun strip ->
-            List.concat_map
-              (fun buffers ->
-                List.map (fun fuse -> { mk; strip; buffers; fuse }) fuses)
-              [ 1; 2; 3 ])
-          strips)
+          (fun buffers -> List.map (fun fuse -> { mk; buffers; fuse }) fuses)
+          [ 1; 2 ])
       (mk_shapes config)
   in
   List.sort_uniq (fun a b -> compare (key a) (key b)) all
@@ -117,25 +134,12 @@ let analytic_bound ~(spec : Spec.t) ~(cfg : Config.t) =
   let ratio = float_of_int (Spec.flops spec) /. float_of_int (Spec.flops padded) in
   Float.min compute memory *. ratio
 
+(* [buffers] is range-checked although {!enumerate} only yields 1 and 2:
+   candidates also arrive from tuning-DB records read off disk. *)
 let realize ~(config : Config.t) ~(spec : Spec.t) (c : candidate) =
-  let pc = min config.Config.mesh_rows config.Config.mesh_cols in
   let m, n, k = c.mk in
-  if c.strip <> pc then
-    Error
-      (Printf.sprintf
-         "strip factor %d unrealizable: the RMA chunk-ownership scheme \
-          needs one k-chunk per broadcast root, i.e. min(R,C) = %d"
-         c.strip pc)
-  else if c.buffers <> 1 && c.buffers <> 2 && c.buffers <> 3 then
-    Error (Printf.sprintf "buffer count %d out of range" c.buffers)
-  else if c.buffers = 3 then
-    let extra = 8 * ((m * k) + (k * n)) * 2 in
-    Error
-      (Printf.sprintf
-         "triple buffering: +%d B of SPM for no additional overlap (the \
-          two-stage software pipeline of §6.3 is already steady-state \
-          after one copy in flight)"
-         extra)
+  if c.buffers <> 1 && c.buffers <> 2 then
+    Error (Printf.sprintf "buffer count %d out of range (1 or 2)" c.buffers)
   else
     match kernel_efficiency config c.mk with
     | Error _ as e -> e
@@ -153,7 +157,7 @@ let realize ~(config : Config.t) ~(spec : Spec.t) (c : candidate) =
         | Error e -> Error ("machine model rejects tile: " ^ e)
         | Ok () ->
             let options =
-              if c.buffers >= 2 then Options.all_on else Options.with_rma
+              if c.buffers = 2 then Options.all_on else Options.with_rma
             in
             let padded = Spec.pad_for spec cfg in
             let tiles = Tile_model.choose padded cfg in

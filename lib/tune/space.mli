@@ -2,52 +2,62 @@
     §15.1–§15.2).
 
     A candidate names one point of the space the tuner searches: an LDM
-    (SPM) tile shape for the micro kernel, a strip-mine factor for the
-    reduced loop (k-chunks per RMA panel), a buffer count (single,
-    double, or triple buffering of the DMA/RMA tiles), and — for fused
-    specs — whether the element-wise kernel stays fused on the CPEs or
-    runs as a separate MPE pass.
+    (SPM) tile shape for the micro kernel, a buffer count (single or
+    double buffering of the DMA/RMA tiles), and — for fused specs —
+    whether the element-wise kernel stays fused on the CPEs or runs as a
+    separate MPE pass. The strip-mine factor of the reduced loop is not
+    an axis: the RMA chunk-ownership scheme fixes it at [min R C] of the
+    mesh, which the config already gives.
 
-    {!realize} is the static gate: it either maps a candidate to the
-    concrete machine model and option set the compiler can execute, with
-    a provable upper bound on its useful Gflops, or rejects it with a
-    reason (unrealizable strip factor, pipeline depth, SPM overflow,
-    kernel generation failure). {!analytic_bound}'s contract is the one
-    the soundness property in [test/test_tune.ml] pins: the bound never
-    undershoots what the simulator later measures. *)
+    {!enumerate} yields only structurally legal points. {!realize} is the
+    static gate for what depends on the shape and the machine: it either
+    maps a candidate to the concrete machine model and option set the
+    compiler can execute, with a provable upper bound on its useful
+    Gflops, or rejects it with a reason (kernel generation failure, a
+    tile the machine model refuses, SPM overflow). {!analytic_bound}'s
+    contract is the one the soundness property in [test/test_tune.ml]
+    pins: the bound never undershoots what the simulator later
+    measures. *)
 
 type candidate = {
   mk : int * int * int;  (** LDM tile = micro-kernel shape [m x n x k] *)
-  strip : int;  (** strip-mine factor: k-chunks per RMA panel *)
-  buffers : int;  (** 1 = no hiding, 2 = double buffering, 3 = triple *)
+  buffers : int;  (** 1 = no hiding, 2 = double buffering *)
   fuse : bool;
       (** keep the element-wise kernel fused on the CPEs; [false] runs
           it as a separate MPE pass (only meaningful for fused specs) *)
 }
 
 val key : candidate -> string
-(** Stable, zero-padded identity, e.g. ["mk0064x0064x0032/strip08/buf2/
-    fused"]. Total order on keys is the deterministic tie-break of the
-    whole tuner: winner selection and result listings sort by it, never
-    by measurement arrival order. *)
+(** Stable, zero-padded identity, e.g. ["mk0064x0064x0032/buf2/fused"].
+    Total order on keys is the deterministic tie-break of the whole
+    tuner: winner selection and result listings sort by it, never by
+    measurement arrival order. *)
 
-val default : Sw_arch.Config.t -> Sw_core.Spec.t -> candidate
+val default : Sw_arch.Config.t -> candidate
 (** The paper's choice on this machine: the config's own micro-kernel
-    shape, the [min R C] strip factor, double buffering, fusion kept on
-    the CPEs. Always a member of {!enumerate}'s result. *)
+    shape, double buffering, fusion kept on the CPEs. Always a member of
+    {!enumerate}'s result. *)
+
+val candidate_to_json : candidate -> Sw_obs.Json.t
+(** [{mk_m, mk_n, mk_k, buffers, fuse}] — the one JSON image of a
+    candidate, shared by the tuning DB and the [tune] wire method. *)
+
+val candidate_of_json : Sw_obs.Json.t -> (candidate, string) result
+(** Inverse of {!candidate_to_json}; rejects missing or ill-typed fields
+    and non-positive dimensions. Does not check legality: that is
+    {!realize}'s job. *)
 
 val enumerate : config:Sw_arch.Config.t -> spec:Sw_core.Spec.t -> candidate list
 (** The full space for this (machine, problem): micro-kernel shapes
-    around the config's own plus the classic tuning ladder, strip
-    factors {1, min R C, 2 min R C}, buffer counts {1, 2, 3}, and both
-    fusion placements when the spec is fused. Sorted by {!key};
-    duplicate-free; always contains {!default}. *)
+    around the config's own plus the classic tuning ladder, buffer
+    counts {1, 2}, and both fusion placements when the spec is fused.
+    Sorted by {!key}; duplicate-free; always contains {!default}. *)
 
 type realized = {
   cfg : Sw_arch.Config.t;
       (** the machine model with the candidate's tile shape and the
           matching micro-kernel efficiency substituted in *)
-  options : Sw_core.Options.t;  (** asm + RMA; hiding iff [buffers >= 2] *)
+  options : Sw_core.Options.t;  (** asm + RMA; hiding iff [buffers = 2] *)
   efficiency : float;  (** fraction of SIMD peak of the candidate's kernel *)
   eff_note : string;  (** where the efficiency came from *)
   bound : float;  (** {!analytic_bound}: useful-Gflops upper bound *)

@@ -14,7 +14,7 @@ type record = {
 
 type t = { store : Sw_host.Store.t }
 
-let schema = "swgemm-tune-v1"
+let schema = "swgemm-tune-v2"
 
 let open_ ?budget_bytes ~dir () =
   { store = Sw_host.Store.open_ ?budget_bytes ~schema ~dir () }
@@ -62,21 +62,11 @@ let key ~spec ~config =
 (* ------------------------------------------------------------------ *)
 
 let record_to_json r =
-  let m, n, k = r.winner.Space.mk in
   Json.Obj
     [
       ("shape_class", Json.String r.shape_class);
       ("mesh_class", Json.String r.mesh_class);
-      ( "winner",
-        Json.Obj
-          [
-            ("mk_m", Json.Int m);
-            ("mk_n", Json.Int n);
-            ("mk_k", Json.Int k);
-            ("strip", Json.Int r.winner.Space.strip);
-            ("buffers", Json.Int r.winner.Space.buffers);
-            ("fuse", Json.Bool r.winner.Space.fuse);
-          ] );
+      ("winner", Space.candidate_to_json r.winner);
       ("gflops", Json.Float r.gflops);
       ("default_gflops", Json.Float r.default_gflops);
       ("measured", Json.Int r.measured);
@@ -98,15 +88,7 @@ let record_of_json j =
     match Json.member "winner" j with
     | None -> Error "tune record: missing field \"winner\""
     | Some w ->
-        let* m = field "mk_m" Json.to_int_opt w in
-        let* n = field "mk_n" Json.to_int_opt w in
-        let* k = field "mk_k" Json.to_int_opt w in
-        let* strip = field "strip" Json.to_int_opt w in
-        let* buffers = field "buffers" Json.to_int_opt w in
-        let* fuse = field "fuse" Json.to_bool_opt w in
-        if m <= 0 || n <= 0 || k <= 0 || strip <= 0 || buffers <= 0 then
-          Error "tune record: non-positive winner dimension"
-        else Ok { Space.mk = (m, n, k); strip; buffers; fuse }
+        Result.map_error (( ^ ) "tune record: ") (Space.candidate_of_json w)
   in
   let* gflops = field "gflops" Json.to_float_opt j in
   let* default_gflops = field "default_gflops" Json.to_float_opt j in

@@ -30,7 +30,7 @@ type record = {
 type t
 
 val schema : string
-(** Schema generation of the on-disk format ("swgemm-tune-v1"). Bump on
+(** Schema generation of the on-disk format ("swgemm-tune-v2"). Bump on
     any change to {!record}'s JSON image or the key derivation; the
     store then deletes old-generation entries on sight. *)
 

@@ -466,43 +466,6 @@ let mesh_tests =
 let tests = tests @ mesh_tests
 
 (* ------------------------------------------------------------------ *)
-(* Tuner: the analytic model's choice wins the shape search (§3.1)      *)
-(* ------------------------------------------------------------------ *)
-
-let test_tuner_vendor_shape_wins () =
-  let config = Config.sw26010pro in
-  let spec = Spec.make ~m:4096 ~n:4096 ~k:4096 () in
-  let results = Tuner.search ~config spec in
-  let (bm, bn, bk), bg = Tuner.best results in
-  check (Alcotest.list Alcotest.int) "analytic choice is optimal" [ 64; 64; 32 ]
-    [ bm; bn; bk ];
-  Alcotest.(check bool) "best beats 1500 Gflops" true (bg > 1500.0);
-  (* oversized shapes are rejected for SPM overflow *)
-  let oversized = List.find (fun c -> c.Tuner.mk = (128, 128, 64)) results in
-  Alcotest.(check bool) "128x128x64 infeasible" false oversized.Tuner.feasible
-
-let test_tuner_report () =
-  let config = Config.sw26010pro in
-  let spec = Spec.make ~m:2048 ~n:2048 ~k:2048 () in
-  let results =
-    Tuner.search ~candidates:[ (64, 64, 32); (128, 128, 64) ] ~config spec
-  in
-  let r = Tuner.report results in
-  Alcotest.(check bool) "mentions vendor" true
-    (let re = "vendor" in
-     let n = String.length re and m = String.length r in
-     let rec go i = i + n <= m && (String.sub r i n = re || go (i + 1)) in
-     go 0)
-
-let tuner_tests =
-  [
-    ("tuner: vendor shape wins", `Quick, test_tuner_vendor_shape_wins);
-    ("tuner report", `Quick, test_tuner_report);
-  ]
-
-let tests = tests @ tuner_tests
-
-(* ------------------------------------------------------------------ *)
 (* Combined feature stress: every orthogonal feature at once            *)
 (* ------------------------------------------------------------------ *)
 

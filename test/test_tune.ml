@@ -1,8 +1,9 @@
-(* Tests of the autotuner (lib/tune): search determinism across --jobs,
-   analytic-pruning soundness on an exhaustive space, tuned-never-loses,
+(* Tests of the autotuner (lib/tune): a legal-only space on every preset,
+   search determinism across --jobs, analytic-pruning soundness on an
+   exhaustive space, tuned-never-loses,
    tuning-DB record round-trips and durability (torn writes quarantined,
    stale schema generations invalidated), warm-DB zero-measurement serving,
-   and the Session tuned-lookup hook. *)
+   the [tune] wire method and the Session tuned-lookup hook. *)
 
 open Sw_core
 open Sw_arch
@@ -54,16 +55,68 @@ let run_ok ?budget ?jobs ?db ~config spec =
 (* The space                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Every candidate of every preset is structurally legal: a [realize]
+   rejection may only say the tile cannot be generated, the machine model
+   refuses it, or it overflows the SPM at this shape. *)
+let shape_reasons =
+  [
+    "kernel generation failed"; "kernel estimate"; "machine model rejects tile";
+    "SPM overflow";
+  ]
+
 let test_space_contains_default () =
-  let cands = Space.enumerate ~config:tiny ~spec:spec64 in
-  let default = Space.default tiny spec64 in
-  Alcotest.(check bool)
-    "default is enumerated" true
-    (List.exists (fun c -> c = default) cands);
-  let keys = List.map Space.key cands in
-  check
-    Alcotest.(list string)
-    "sorted and duplicate-free" (List.sort_uniq compare keys) keys
+  let fused = Spec.make ~m:64 ~n:64 ~k:64 ~fusion:(Spec.Epilogue "relu") () in
+  let big = Spec.make ~m:2048 ~n:2048 ~k:2048 () in
+  List.iter
+    (fun (d : Arch_desc.t) ->
+      let config = Arch_desc.to_config d in
+      let name = d.Arch_desc.name in
+      List.iter
+        (fun (spec, fusions) ->
+          let cands = Space.enumerate ~config ~spec in
+          let mks =
+            List.sort_uniq compare (List.map (fun c -> c.Space.mk) cands)
+          in
+          check Alcotest.int
+            (name ^ ": |mk shapes| x 2 buffers x fusion placements")
+            (List.length mks * 2 * fusions)
+            (List.length cands);
+          Alcotest.(check bool)
+            (name ^ ": default is enumerated") true
+            (List.mem (Space.default config) cands);
+          let keys = List.map Space.key cands in
+          check
+            Alcotest.(list string)
+            (name ^ ": sorted and duplicate-free")
+            (List.sort_uniq compare keys) keys;
+          List.iter
+            (fun c ->
+              match Space.realize ~config ~spec c with
+              | Ok _ -> ()
+              | Error e ->
+                  if
+                    not
+                      (List.exists
+                         (fun r -> String.starts_with ~prefix:r e)
+                         shape_reasons)
+                  then
+                    Alcotest.failf "%s %s %s: structural rejection: %s" name
+                      (Spec.to_string spec) (Space.key c) e)
+            cands)
+        [ (spec64, 1); (fused, 2); (big, 1) ])
+    Arch_desc.all;
+  let config = Config.sw26010pro in
+  let oversized = { (Space.default config) with Space.mk = (128, 128, 64) } in
+  match
+    Space.realize ~config ~spec:(Spec.make ~m:4096 ~n:4096 ~k:4096 ()) oversized
+  with
+  | Ok _ -> Alcotest.fail "128x128x64 fits the sw26010pro SPM"
+  | Error e ->
+      (* the machine model's own SPM check catches it before the
+         decomposition's footprint is even computed *)
+      Alcotest.(check bool)
+        ("128x128x64 rejected for SPM: " ^ e) true
+        (Helpers.contains e "overflow" && Helpers.contains e "SPM")
 
 let test_space_fusion_facet () =
   let fused =
@@ -198,8 +251,7 @@ let record_gen =
         winner =
           {
             Space.mk = (dim (), dim (), dim ());
-            strip = 1 + Random.State.int st 8;
-            buffers = 1 + Random.State.int st 3;
+            buffers = 1 + Random.State.int st 2;
             fuse = Random.State.bool st;
           };
         gflops = Random.State.float st 2000.0;
@@ -272,19 +324,45 @@ let test_db_corruption_quarantined () =
     (Tune_db.find db ~spec:spec64 ~config:tiny <> None)
 
 let test_db_stale_schema_invalidated () =
-  with_dir @@ fun dir ->
-  (* write a well-formed record under a previous schema generation *)
-  let old = Sw_host.Store.open_ ~schema:"swgemm-tune-v0" ~dir () in
-  Sw_host.Store.put old
-    ~key:(Tune_db.key ~spec:spec64 ~config:tiny)
-    "{\"any\":\"payload\"}";
-  Sw_host.Store.flush old;
-  let db = Tune_db.open_ ~dir () in
-  Alcotest.(check bool)
-    "stale generation is invisible" true
-    (Tune_db.find db ~spec:spec64 ~config:tiny = None);
-  let s = Tune_db.stats db in
-  check Alcotest.int "stale, not quarantined" 0 s.Sw_host.Store.quarantined
+  (* well-formed records under previous schema generations, v1 being the
+     one whose candidates still carried a strip factor *)
+  List.iter
+    (fun (old_schema, payload) ->
+      with_dir @@ fun dir ->
+      let old = Sw_host.Store.open_ ~schema:old_schema ~dir () in
+      Sw_host.Store.put old
+        ~key:(Tune_db.key ~spec:spec64 ~config:tiny)
+        payload;
+      Sw_host.Store.flush old;
+      let db = Tune_db.open_ ~dir () in
+      Alcotest.(check bool)
+        (old_schema ^ " is invisible") true
+        (Tune_db.find db ~spec:spec64 ~config:tiny = None);
+      let s = Tune_db.stats db in
+      check Alcotest.int
+        (old_schema ^ " stale, not quarantined")
+        0 s.Sw_host.Store.quarantined)
+    [
+      ("swgemm-tune-v0", "{\"any\":\"payload\"}");
+      ( "swgemm-tune-v1",
+        let module Json = Sw_obs.Json in
+        let winner =
+          [ ("mk_m", Json.Int 8); ("mk_n", Json.Int 8); ("mk_k", Json.Int 8);
+            ("strip", Json.Int 2); ("buffers", Json.Int 2);
+            ("fuse", Json.Bool true) ]
+        in
+        Json.to_string
+          (Json.Obj
+             [
+               ("shape_class", Json.String (Tune_db.shape_class spec64));
+               ("mesh_class", Json.String (Tune_db.mesh_class tiny));
+               ("winner", Json.Obj winner);
+               ("gflops", Json.Float 1.0);
+               ("default_gflops", Json.Float 1.0);
+               ("measured", Json.Int 1);
+               ("pruned", Json.Int 0);
+             ]) );
+    ]
 
 let test_db_mismatched_classes_rejected () =
   with_dir @@ fun dir ->
@@ -296,7 +374,7 @@ let test_db_mismatched_classes_rejected () =
     {
       Tune_db.shape_class = "m1:n1:k1:b1:tNN:f=none";
       mesh_class = "1x1/other";
-      winner = Space.default tiny spec64;
+      winner = Space.default tiny;
       gflops = 1.0;
       default_gflops = 1.0;
       measured = 1;
@@ -333,6 +411,49 @@ let test_warm_db_zero_measurements () =
   Alcotest.(check bool)
     "store hit counted" true
     ((Tune_db.stats db).Sw_host.Store.hits > hits_before)
+
+(* ------------------------------------------------------------------ *)
+(* The [tune] wire method, through the service dispatcher               *)
+(* ------------------------------------------------------------------ *)
+
+let test_tune_wire_method () =
+  with_dir @@ fun dir ->
+  let module Json = Sw_obs.Json in
+  let db = Tune_db.open_ ~dir () in
+  let session = Session.create ~no_cache:true ~arch:tiny () in
+  let service =
+    Service.create
+      ~extensions:[ ("tune", Search.service_extension ~db ~session) ]
+      ~session ()
+  in
+  let call params = Service.handle ~client:"t" ~meth:"tune" ~params service in
+  let answer params =
+    match call params with
+    | Error e -> Alcotest.failf "tune: %s" (Sw_arch.Error.to_string e)
+    | Ok j ->
+        let get conv name = Option.get (Option.bind (Json.member name j) conv) in
+        let winner =
+          match Option.map Space.candidate_of_json (Json.member "winner" j) with
+          | Some (Ok c) -> c
+          | _ -> Alcotest.fail "tune answer lacks a decodable winner"
+        in
+        (winner, get Json.to_int_opt "measurements", get Json.to_bool_opt "from_db")
+  in
+  let params =
+    Json.Obj [ ("spec", Spec.to_json spec64); ("budget", Json.Int 4) ]
+  in
+  let cold_winner, cold_n, cold_db = answer params in
+  Alcotest.(check bool) "cold call measured" true (cold_n > 0);
+  Alcotest.(check bool) "cold call not from DB" false cold_db;
+  let warm_winner, warm_n, warm_db = answer params in
+  Alcotest.(check bool) "repeat from DB" true warm_db;
+  check Alcotest.int "repeat zero measurements" 0 warm_n;
+  check Alcotest.string "repeat same winner" (Space.key cold_winner)
+    (Space.key warm_winner);
+  match call (Json.Obj [ ("budget", Json.Int 4) ]) with
+  | Error (Sw_arch.Error.Invalid _) -> ()
+  | Error e -> Alcotest.failf "missing spec: wrong class %s" (Sw_arch.Error.to_string e)
+  | Ok _ -> Alcotest.fail "missing spec answered"
 
 (* ------------------------------------------------------------------ *)
 (* Session integration: the tuned lookup hook                           *)
@@ -392,6 +513,8 @@ let tests =
       test_db_mismatched_classes_rejected;
     Alcotest.test_case "warm DB serves repeats with zero measurements" `Quick
       test_warm_db_zero_measurements;
+    Alcotest.test_case "tune wire method: cold, warm, invalid" `Quick
+      test_tune_wire_method;
     Alcotest.test_case "session tuned hook compiles under the winner" `Quick
       test_session_tuned_hook;
   ]
